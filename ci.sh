@@ -62,6 +62,12 @@ if [ "$mode" != "quick" ]; then
     CSE_SEEDS=4 CSE_BENCH_OUT=results/BENCH_campaign.json \
         cargo run --release -q -p cse-bench --bin bench_campaign
 
+    # The campaign benchmark is a package of its own (outside the
+    # workspace), so no step above builds it; its self-test catches a
+    # `crates/*` API change that breaks it.
+    echo "==> campaign benchmark self-test (campaign_bench/, its own package)"
+    cargo test --release -q --manifest-path campaign_bench/Cargo.toml
+
     echo "==> triage smoke (seeded-fault campaign; every incident reduced, deduped, classified)"
     cargo test --release -q --test triage chaos_campaign_triage_is_complete_and_job_count_invariant
 

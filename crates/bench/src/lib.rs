@@ -10,6 +10,7 @@
 
 use cse_vm::VmKind;
 
+pub mod jit_corpus;
 pub mod stopwatch;
 
 /// Supervision settings from the environment, shared by the table

@@ -13,11 +13,12 @@ pub fn samples() -> usize {
     std::env::var("CSE_BENCH_SAMPLES").ok().and_then(|s| s.parse().ok()).unwrap_or(10).max(1)
 }
 
-/// Times `f` repeatedly and prints `name  median ± spread`.
+/// Times `f` repeatedly, prints `name  median ± spread`, and returns the
+/// median.
 ///
 /// The return value of `f` is passed through `std::hint::black_box` so
 /// the optimizer cannot elide the measured work.
-pub fn bench_function<T>(name: &str, mut f: impl FnMut() -> T) {
+pub fn bench_function<T>(name: &str, mut f: impl FnMut() -> T) -> Duration {
     // One warmup run so lazy statics / first-touch costs don't skew the
     // first sample.
     std::hint::black_box(f());
@@ -33,6 +34,7 @@ pub fn bench_function<T>(name: &str, mut f: impl FnMut() -> T) {
     let min = times[0];
     let max = times[times.len() - 1];
     println!("{name:<44} {median:>12.2?}   [{min:.2?} .. {max:.2?}] ({n} samples)");
+    median
 }
 
 #[cfg(test)]

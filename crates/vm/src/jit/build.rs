@@ -31,8 +31,9 @@ pub(crate) fn can_osr(program: &BProgram, method: MethodId, header: u32) -> bool
     stack_depths(program, m).get(header as usize).map(|&d| d == 0).unwrap_or(false)
 }
 
-/// Builds the IR for `method`, optionally as an OSR variant.
-pub(super) fn build(
+/// Builds the IR for `method`, optionally as an OSR variant (the IR that
+/// [`super::compile`] hands to the pass pipeline).
+pub fn build(
     ctx: &CompileCtx<'_>,
     method: MethodId,
     osr: Option<u32>,

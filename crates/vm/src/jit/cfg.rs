@@ -1,7 +1,66 @@
 //! Control-flow analyses over the IR: reverse postorder, dominators
-//! (Cooper–Harvey–Kennedy), and the natural-loop forest.
+//! (Cooper–Harvey–Kennedy), and the natural-loop forest, plus the dense
+//! bit set the JIT's analyses use for block and register membership.
 
 use super::ir::{BlockId, IrFunc};
+
+/// A dense set of small integers (block ids or registers) below a fixed
+/// capacity.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct BitSet {
+    words: Vec<u64>,
+}
+
+impl BitSet {
+    /// An empty set over `0..capacity`.
+    pub(crate) fn new(capacity: usize) -> BitSet {
+        BitSet { words: vec![0; capacity.div_ceil(64)] }
+    }
+
+    pub(crate) fn contains(&self, i: u32) -> bool {
+        self.words[i as usize / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// Adds `i`; returns whether it was absent.
+    pub(crate) fn insert(&mut self, i: u32) -> bool {
+        let word = &mut self.words[i as usize / 64];
+        let bit = 1 << (i % 64);
+        let absent = *word & bit == 0;
+        *word |= bit;
+        absent
+    }
+
+    /// Removes `i`; returns whether it was present.
+    pub(crate) fn remove(&mut self, i: u32) -> bool {
+        let word = &mut self.words[i as usize / 64];
+        let bit = 1 << (i % 64);
+        let present = *word & bit != 0;
+        *word &= !bit;
+        present
+    }
+
+    /// Adds every member of `other` (same capacity).
+    pub(crate) fn union_with(&mut self, other: &BitSet) {
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a |= b;
+        }
+    }
+
+    /// Removes every member of `other` (same capacity).
+    pub(crate) fn difference_with(&mut self, other: &BitSet) {
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a &= !b;
+        }
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+}
 
 /// Reverse postorder of reachable blocks from the entry.
 pub fn reverse_postorder(func: &IrFunc) -> Vec<BlockId> {
@@ -43,13 +102,18 @@ impl Dominators {
     /// edges included (via [`IrFunc::predecessors`]) so exceptional control
     /// flow is modeled conservatively.
     pub fn compute(func: &IrFunc) -> Dominators {
+        Dominators::compute_with(func, &func.predecessors())
+    }
+
+    /// [`Dominators::compute`] over predecessor lists the caller already
+    /// holds (`preds` must be `func.predecessors()`).
+    pub fn compute_with(func: &IrFunc, preds: &[Vec<BlockId>]) -> Dominators {
         let n = func.blocks.len();
         let rpo = reverse_postorder(func);
         let mut rpo_index = vec![usize::MAX; n];
         for (i, &b) in rpo.iter().enumerate() {
             rpo_index[b as usize] = i;
         }
-        let preds = func.predecessors();
         let mut idom: Vec<BlockId> = vec![u32::MAX; n];
         idom[0] = 0;
         let mut changed = true;
@@ -130,55 +194,59 @@ pub struct LoopForest {
 impl LoopForest {
     /// Detects natural loops from back-edges `u -> v` where `v` dominates
     /// `u`, merging loops that share a header.
+    ///
+    /// Loops are ordered by body size, largest first (ties in order of
+    /// their first back-edge); a body lists its header, then the blocks of
+    /// each back-edge's reverse walk in [`IrFunc::predecessors`] order.
+    /// Passes iterate both orders, so they are part of the JIT's output.
     pub fn compute(func: &IrFunc) -> LoopForest {
-        let doms = Dominators::compute(func);
         let preds = func.predecessors();
+        let doms = Dominators::compute_with(func, &preds);
         let n = func.blocks.len();
-        // Collect loop bodies per header.
-        let mut header_blocks: Vec<(BlockId, Vec<BlockId>)> = Vec::new();
+        // Loop bodies per header, each with its membership set.
+        let mut header_loops: Vec<(BlockId, Vec<BlockId>, BitSet)> = Vec::new();
+        let mut loop_of_header: Vec<Option<usize>> = vec![None; n];
         for (u, block) in func.blocks.iter().enumerate() {
             for v in block.term.successors() {
-                if doms.dominates(v, u as BlockId) {
-                    // Natural loop of back-edge u -> v.
-                    let mut body = vec![v];
-                    let mut stack = vec![u as BlockId];
-                    while let Some(x) = stack.pop() {
-                        if body.contains(&x) {
-                            continue;
-                        }
-                        body.push(x);
-                        for &p in &preds[x as usize] {
-                            stack.push(p);
-                        }
+                if !doms.dominates(v, u as BlockId) {
+                    continue;
+                }
+                // Natural loop of back-edge u -> v: walk predecessors
+                // backwards from u, stopping at the header.
+                let i = *loop_of_header[v as usize].get_or_insert_with(|| {
+                    let mut members = BitSet::new(n);
+                    members.insert(v);
+                    header_loops.push((v, vec![v], members));
+                    header_loops.len() - 1
+                });
+                let (_, body, members) = &mut header_loops[i];
+                let mut stack = vec![u as BlockId];
+                while let Some(x) = stack.pop() {
+                    if !members.insert(x) {
+                        continue;
                     }
-                    match header_blocks.iter_mut().find(|(h, _)| *h == v) {
-                        Some((_, existing)) => {
-                            for b in body {
-                                if !existing.contains(&b) {
-                                    existing.push(b);
-                                }
-                            }
-                        }
-                        None => header_blocks.push((v, body)),
-                    }
+                    body.push(x);
+                    stack.extend(&preds[x as usize]);
                 }
             }
         }
         // Order loops by body size descending so parents precede children.
-        header_blocks.sort_by_key(|(_, body)| std::cmp::Reverse(body.len()));
+        header_loops.sort_by_key(|(_, body, _)| std::cmp::Reverse(body.len()));
         let mut forest = LoopForest { loops: Vec::new(), innermost: vec![usize::MAX; n] };
-        for (header, blocks) in header_blocks {
+        let mut members_of: Vec<BitSet> = Vec::with_capacity(header_loops.len());
+        for (header, blocks, members) in header_loops {
             // Parent = the smallest existing loop that contains our header
             // (loops are processed largest-first).
             let parent = forest
                 .loops
                 .iter()
                 .enumerate()
-                .filter(|(_, l)| l.blocks.contains(&header))
+                .filter(|&(i, _)| members_of[i].contains(header))
                 .min_by_key(|(_, l)| l.blocks.len())
                 .map(|(i, _)| i);
             let depth = parent.map(|p| forest.loops[p].depth + 1).unwrap_or(1);
             forest.loops.push(Loop { header, blocks, parent, depth });
+            members_of.push(members);
         }
         // Innermost loop per block = deepest loop containing it.
         for (i, l) in forest.loops.iter().enumerate() {

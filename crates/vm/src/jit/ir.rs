@@ -21,6 +21,7 @@
 
 use cse_bytecode::{ArrKind, ClassId, CmpOp, MethodId, PrintKind, StrId};
 
+use super::cfg::BitSet;
 use crate::config::Tier;
 use crate::events::DeoptReason;
 use crate::faults::BugId;
@@ -585,28 +586,69 @@ impl IrFunc {
         self.blocks.iter().map(|b| b.insts.len()).sum()
     }
 
-    /// Predecessor lists per block.
+    /// Predecessor lists per block, including exceptional edges: a handler
+    /// target is a successor of every block holding a throwing instruction
+    /// in the handler's frame and bytecode range.
+    ///
+    /// **Order contract.** `preds[b]` lists, first, every terminator edge
+    /// into `b` in source-block order (a block appears once per edge, so a
+    /// branch with both arms to `b` appears twice); then, handler by
+    /// handler in `handlers` order, each covering block in id order that
+    /// is not already listed. The order is load-bearing: the natural-loop
+    /// walk in [`super::cfg::LoopForest::compute`] follows it, so it fixes
+    /// loop-body order, which fixes the order LICM hoists instructions in,
+    /// the emitted IR, the operations compiled code executes, and so the
+    /// campaign digests.
+    ///
+    /// Each throwing instruction looks up only the handlers covering it, so
+    /// the cost is the instruction count times the try-nesting depth, not
+    /// times the handler count: every CFG analysis recomputes
+    /// predecessors, so this sits on the JIT's compile-time critical path.
     pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
-        let mut preds = vec![Vec::new(); self.blocks.len()];
+        let n = self.blocks.len();
+        let mut preds = vec![Vec::new(); n];
         for (id, block) in self.blocks.iter().enumerate() {
             for succ in block.term.successors() {
                 preds[succ as usize].push(id as BlockId);
             }
         }
-        // Handler targets are reachable from every block whose instructions
-        // may throw within the covered range; approximate with an edge from
-        // each block containing a covered throwing instruction.
-        for handler in &self.handlers {
-            for (id, block) in self.blocks.iter().enumerate() {
-                let throws_in_range = block.insts.iter().any(|inst| {
-                    inst.frame == handler.frame
-                        && inst.op.can_throw()
-                        && inst.bc_pc >= handler.start_bc
-                        && inst.bc_pc < handler.end_bc
-                });
-                if throws_in_range && !preds[handler.target as usize].contains(&(id as BlockId)) {
-                    preds[handler.target as usize].push(id as BlockId);
+        if self.handlers.is_empty() {
+            return preds;
+        }
+        // Blocks (ascending, deduplicated) with a covered throwing
+        // instruction, per handler.
+        let ranges = HandlerRanges::new(&self.handlers);
+        let mut covering: Vec<Vec<BlockId>> = vec![Vec::new(); self.handlers.len()];
+        for (id, block) in self.blocks.iter().enumerate() {
+            let id = id as BlockId;
+            for inst in block.insts.iter().filter(|inst| inst.op.can_throw()) {
+                for &h in ranges.covering(inst.frame, inst.bc_pc) {
+                    if covering[h].last() != Some(&id) {
+                        covering[h].push(id);
+                    }
                 }
+            }
+        }
+        // Append the handler edges target by target; within one target,
+        // handler order then block order, skipping blocks already listed.
+        let mut by_target: Vec<usize> = (0..self.handlers.len()).collect();
+        by_target.sort_by_key(|&h| self.handlers[h].target);
+        let mut listed = BitSet::new(n);
+        for group in by_target.chunk_by(|&a, &b| self.handlers[a].target == self.handlers[b].target)
+        {
+            let target = &mut preds[self.handlers[group[0]].target as usize];
+            for &p in target.iter() {
+                listed.insert(p);
+            }
+            for &h in group {
+                for &b in &covering[h] {
+                    if listed.insert(b) {
+                        target.push(b);
+                    }
+                }
+            }
+            for &p in target.iter() {
+                listed.remove(p);
             }
         }
         preds
@@ -650,6 +692,51 @@ impl IrFunc {
     }
 }
 
+/// Handler ranges indexed for point queries: per inline frame, the range
+/// boundaries cut the bytecode pcs into segments, and each segment lists
+/// the handlers covering it, in `handlers` order.
+struct HandlerRanges {
+    /// Per frame: the sorted distinct boundaries `cuts`, and the covering
+    /// handlers of each segment `[cuts[i], cuts[i + 1])`.
+    frames: Vec<(Vec<u32>, Vec<Vec<usize>>)>,
+}
+
+impl HandlerRanges {
+    fn new(handlers: &[IrHandler]) -> HandlerRanges {
+        let num_frames = handlers.iter().map(|h| h.frame as usize + 1).max().unwrap_or(0);
+        let mut frames: Vec<(Vec<u32>, Vec<Vec<usize>>)> = vec![Default::default(); num_frames];
+        for h in handlers {
+            frames[h.frame as usize].0.extend([h.start_bc, h.end_bc]);
+        }
+        for (cuts, segments) in &mut frames {
+            cuts.sort_unstable();
+            cuts.dedup();
+            *segments = vec![Vec::new(); cuts.len().saturating_sub(1)];
+        }
+        for (i, h) in handlers.iter().enumerate() {
+            let (cuts, segments) = &mut frames[h.frame as usize];
+            let first = cuts.partition_point(|&c| c < h.start_bc);
+            let end = cuts.partition_point(|&c| c < h.end_bc);
+            for segment in segments.iter_mut().take(end).skip(first) {
+                segment.push(i);
+            }
+        }
+        HandlerRanges { frames }
+    }
+
+    /// Indices of the handlers of `frame` whose range contains `pc`.
+    fn covering(&self, frame: u16, pc: u32) -> &[usize] {
+        let Some((cuts, segments)) = self.frames.get(frame as usize) else {
+            return &[];
+        };
+        // `cuts[i - 1] <= pc < cuts[i]` selects segment `i - 1`.
+        match cuts.partition_point(|&c| c <= pc) {
+            0 => &[],
+            i => segments.get(i - 1).map_or(&[], Vec::as_slice),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -671,6 +758,58 @@ mod tests {
         assert_eq!(op.sources(), vec![1, 2, 3]);
         op.map_sources(|r| r + 10);
         assert_eq!(op.sources(), vec![11, 12, 13]);
+    }
+
+    /// The order contract of [`IrFunc::predecessors`]: terminator edges in
+    /// block order (duplicates kept), then handler edges handler by
+    /// handler, each in block order, skipping blocks already listed.
+    #[test]
+    fn predecessor_order_contract() {
+        let call = |bc_pc| Inst {
+            dst: None,
+            op: Op::Call { method: MethodId(0), args: vec![] },
+            frame: 0,
+            bc_pc,
+        };
+        let block = |insts, term| Block { insts, term };
+        let handler = |frame, start_bc, end_bc, target| IrHandler {
+            frame,
+            start_bc,
+            end_bc,
+            target,
+            save_reg: None,
+        };
+        let func = IrFunc {
+            method: MethodId(0),
+            tier: Tier::T2,
+            blocks: vec![
+                block(vec![], Term::Jump(1)),
+                block(vec![call(1)], Term::Jump(2)),
+                block(vec![call(5)], Term::Branch { cond: 0, if_true: 3, if_false: 3 }),
+                block(vec![call(9)], Term::Jump(4)),
+                block(vec![], Term::Return(None)),
+                block(vec![], Term::Return(None)),
+            ],
+            num_regs: 1,
+            frames: vec![InlineFrame {
+                method: MethodId(0),
+                local_base: 0,
+                num_locals: 1,
+                parent: None,
+            }],
+            handlers: vec![
+                handler(0, 4, 10, 5),  // covers b2, b3
+                handler(0, 0, 2, 5),   // covers b1: listed after h0's blocks
+                handler(0, 0, 6, 3),   // covers b1, b2; b2 is already a pred
+                handler(1, 0, 100, 4), // no frame-1 instruction: no edge
+            ],
+            osr_entry: None,
+            anchor_limit_per_frame: vec![(0, 1)],
+        };
+        assert_eq!(
+            func.predecessors(),
+            vec![vec![], vec![0], vec![1], vec![2, 2, 1], vec![3], vec![2, 3, 1]]
+        );
     }
 
     #[test]

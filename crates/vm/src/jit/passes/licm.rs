@@ -8,11 +8,11 @@
 //! whose stores to the same field all sit inside `try` regions (the buggy
 //! alias check ignores exceptional control flow), yielding stale reads.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use crate::exec::CrashInfo;
 use crate::faults::BugId;
-use crate::jit::cfg::LoopForest;
+use crate::jit::cfg::{BitSet, LoopForest};
 use crate::jit::ir::*;
 use crate::jit::tv::TvContract;
 use crate::jit::CompileCtx;
@@ -21,12 +21,17 @@ use crate::jit::CompileCtx;
 /// forwarding preheaders.
 pub const TV_CONTRACT: TvContract = TvContract::EffectPreserving;
 
-/// Runs LICM over every loop; the forest is re-discovered after each
-/// preheader insertion (which invalidates block ids' loop membership).
+/// Runs LICM over every loop, innermost first. Preheader insertion
+/// renumbers loop membership, so the forest is re-discovered after each
+/// loop that actually hoisted; a loop that hoisted nothing leaves the IR,
+/// and so the forest, unchanged.
 pub fn run(ctx: &CompileCtx<'_>, func: &mut IrFunc) -> Result<(), CrashInfo> {
+    // Hoisting moves definitions between blocks but never adds or removes
+    // one, so the global counts stay valid for the whole pass.
+    let def_count = def_counts(func);
     let mut processed: HashSet<BlockId> = HashSet::new();
+    let mut forest = LoopForest::compute(func);
     loop {
-        let forest = LoopForest::compute(func);
         let next = forest
             .loops
             .iter()
@@ -42,11 +47,30 @@ pub fn run(ctx: &CompileCtx<'_>, func: &mut IrFunc) -> Result<(), CrashInfo> {
         if func.handlers.iter().any(|h| h.target == header) {
             continue;
         }
-        hoist_loop(ctx, func, &blocks, header);
+        if hoist_loop(ctx, func, &def_count, &blocks, header) {
+            forest = LoopForest::compute(func);
+        }
     }
 }
 
-fn hoist_loop(ctx: &CompileCtx<'_>, func: &mut IrFunc, loop_blocks: &[BlockId], header: BlockId) {
+/// Definitions per register (the single-assignment check).
+fn def_counts(func: &IrFunc) -> Vec<u32> {
+    let mut count = vec![0u32; func.num_regs as usize];
+    for dst in func.blocks.iter().flat_map(|b| &b.insts).filter_map(|i| i.dst) {
+        count[dst as usize] += 1;
+    }
+    count
+}
+
+/// Hoists the loop's invariant instructions into a new preheader;
+/// returns whether it inserted one.
+fn hoist_loop(
+    ctx: &CompileCtx<'_>,
+    func: &mut IrFunc,
+    def_count: &[u32],
+    loop_blocks: &[BlockId],
+    header: BlockId,
+) -> bool {
     // Registers written anywhere inside the loop.
     let mut written: HashSet<Reg> = HashSet::new();
     // Memory facts needed by the (buggy) field-load hoist.
@@ -75,15 +99,6 @@ fn hoist_loop(ctx: &CompileCtx<'_>, func: &mut IrFunc, loop_blocks: &[BlockId], 
             }
         }
     }
-    // Global def counts (single-assignment check).
-    let mut def_count: HashMap<Reg, u32> = HashMap::new();
-    for block in &func.blocks {
-        for inst in &block.insts {
-            if let Some(dst) = inst.dst {
-                *def_count.entry(dst).or_default() += 1;
-            }
-        }
-    }
     let is_anchor =
         |r: Reg, anchors: &[(Reg, Reg)]| anchors.iter().any(|&(lo, hi)| r >= lo && r < hi);
     let alias_bug = ctx.active(BugId::HsLicmAliasedLoad) && ctx.optimizing();
@@ -96,7 +111,7 @@ fn hoist_loop(ctx: &CompileCtx<'_>, func: &mut IrFunc, loop_blocks: &[BlockId], 
         for inst in block.insts.drain(..) {
             let hoistable = match inst.dst {
                 Some(dst) => {
-                    let single = def_count.get(&dst).copied().unwrap_or(0) == 1;
+                    let single = def_count[dst as usize] == 1;
                     let invariant = inst.op.sources().iter().all(|s| !written.contains(s));
                     let movable = if inst.op.is_pure() {
                         true
@@ -123,18 +138,23 @@ fn hoist_loop(ctx: &CompileCtx<'_>, func: &mut IrFunc, loop_blocks: &[BlockId], 
         block.insts = kept;
     }
     if hoisted.is_empty() {
-        return;
+        return false;
     }
     insert_preheader(func, header, loop_blocks, hoisted);
+    true
 }
 
 /// Creates a preheader block in front of `header`, retargeting all
 /// non-loop predecessors to it, and fills it with `insts`.
 fn insert_preheader(func: &mut IrFunc, header: BlockId, loop_blocks: &[BlockId], insts: Vec<Inst>) {
     let pre = func.blocks.len() as BlockId;
+    let mut in_loop = BitSet::new(func.blocks.len());
+    for &b in loop_blocks {
+        in_loop.insert(b);
+    }
     func.blocks.push(Block { insts, term: Term::Jump(header) });
-    for b in 0..(func.blocks.len() - 1) as u32 {
-        if loop_blocks.contains(&b) {
+    for b in 0..pre {
+        if in_loop.contains(b) {
             continue;
         }
         match &mut func.blocks[b as usize].term {
