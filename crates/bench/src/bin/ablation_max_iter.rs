@@ -3,12 +3,12 @@
 
 #![forbid(unsafe_code)]
 
-use cse_bench::campaign_seeds;
+use cse_core::env;
 use cse_core::validate::{validate, ValidateConfig};
 use cse_vm::{VmConfig, VmKind};
 
 fn main() {
-    let seeds = campaign_seeds(120);
+    let seeds = env::or_exit(env::SEEDS.read()).unwrap_or(120);
     println!("Ablation: MAX_ITER sweep (OpenJ9-like, {seeds} seeds)\n");
     println!(
         "{:>8} {:>12} {:>14} {:>16}",

@@ -6,7 +6,7 @@
 
 #![forbid(unsafe_code)]
 
-use cse_bench::campaign_seeds;
+use cse_core::env;
 use cse_core::mutate::Mutator;
 use cse_core::validate::{validate, ValidateConfig};
 use cse_vm::{VmConfig, VmKind};
@@ -31,7 +31,7 @@ fn run_with(enabled: Vec<Mutator>, seeds: u64) -> (usize, usize) {
 }
 
 fn main() {
-    let seeds = campaign_seeds(150);
+    let seeds = env::or_exit(env::SEEDS.read()).unwrap_or(150);
     println!("Ablation: mutator mix (OpenJ9-like, {seeds} seeds x 8 mutants)\n");
     println!("{:<18} {:>12} {:>15}", "Mutators", "seeds w/bug", "discrepancies");
     for (label, enabled) in [

@@ -7,7 +7,7 @@
 
 #![forbid(unsafe_code)]
 
-use cse_bench::campaign_seeds;
+use cse_core::env;
 use cse_core::mutate::Artemis;
 use cse_core::synth::SynthParams;
 use cse_core::validate::compile_checked;
@@ -33,7 +33,7 @@ fn non_neutral_mutate(seed: &cse_lang::Program, rng_seed: u64) -> cse_lang::Prog
 }
 
 fn main() {
-    let seeds = campaign_seeds(100);
+    let seeds = env::or_exit(env::SEEDS.read()).unwrap_or(100);
     println!("Ablation: neutral (JoNM) vs non-neutral mutation on a CORRECT VM");
     println!("({seeds} seeds; every \"discrepancy\" here is a false positive)\n");
     let vm = VmConfig::correct(VmKind::HotSpotLike);

@@ -8,7 +8,7 @@
 
 #![forbid(unsafe_code)]
 
-use cse_bench::campaign_seeds;
+use cse_core::env;
 use cse_core::validate::{validate, ValidateConfig};
 use cse_vm::{VmConfig, VmKind};
 
@@ -34,7 +34,7 @@ fn run_with(divide: u64, seeds: u64) -> (usize, u64) {
 }
 
 fn main() {
-    let seeds = campaign_seeds(150);
+    let seeds = env::or_exit(env::SEEDS.read()).unwrap_or(150);
     println!("Ablation: compilation thresholds (OpenJ9-like, {seeds} seeds x 8 mutants)\n");
     println!("{:<22} {:>12} {:>10}", "Thresholds", "seeds w/bug", "discarded");
     for (label, divide) in [("default", 1u64), ("default / 50", 50)] {

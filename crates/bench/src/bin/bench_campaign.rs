@@ -33,6 +33,8 @@
 //! * `CSE_JOBS` — parallel worker count (default `min(cores, 4)`, so a
 //!   single-core runner benchmarks `jobs = 1` instead of pretending two
 //!   workers help).
+//! * `CSE_VERIFY_IR`, `CSE_TV`, `CSE_EXEC_CACHE`, `CSE_COVERAGE` — applied
+//!   to the throughput and sustained campaigns (see `cse_core::env`).
 //! * `CSE_BENCH_OUT` — output path for the JSON report (default
 //!   `results/BENCH_campaign.json`).
 //! * `CSE_BENCH_TRAJECTORY` — perf-trajectory JSONL path (default
@@ -54,8 +56,8 @@
 
 use std::time::{Duration, Instant};
 
-use cse_bench::campaign_seeds;
 use cse_core::campaign::{run_campaign, CampaignConfig, CampaignResult};
+use cse_core::env;
 use cse_core::space::{enumerate_space_with, space_digest, PrunePlans};
 use cse_core::validate::{self, ValidateConfig};
 use cse_core::CoveragePolicy;
@@ -169,7 +171,7 @@ fn measure_stages_once(config: &CampaignConfig) -> StageBreakdown {
         vm: config.vm.clone(),
         params: cse_core::SynthParams::for_kind(config.vm.kind),
         verify_neutrality: true,
-        exec_cache: cse_core::ExecCachePolicy::Auto,
+        exec_cache: config.exec_cache,
     };
     // Mirror the campaign driver: one artifact-cache shard shared by
     // every seed the (serial) worker processes, and the already-compiled
@@ -437,24 +439,21 @@ fn json_number(line: &str, key: &str) -> Option<f64> {
 // ----- main ---------------------------------------------------------------
 
 fn main() {
-    let seeds = campaign_seeds(24);
+    let seeds = env::or_exit(env::SEEDS.read()).unwrap_or(24);
     let sustained_seeds = seeds * 2;
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     // `min(cores, 4)`: a single-core runner gets an honest `jobs = 1`
     // parallel row (the engine still routes through the work-stealing
     // path) instead of a meaningless 2-worker thrash number.
-    let jobs: usize = std::env::var("CSE_JOBS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| cores.min(4))
-        .max(1);
+    let jobs = env::or_exit(env::JOBS.read()).unwrap_or(cores.min(4)).max(1);
     let out_path = std::env::var("CSE_BENCH_OUT")
         .unwrap_or_else(|_| "results/BENCH_campaign.json".to_string());
     let gate_on = std::env::var("CSE_BENCH_GATE").map(|v| v != "off" && v != "0").unwrap_or(true);
 
     println!("Campaign engine throughput: jobs=1 vs jobs={jobs} ({cores} cores, {seeds} seeds)");
 
-    let base = CampaignConfig::for_kind(VmKind::HotSpotLike, seeds);
+    let mut base = CampaignConfig::for_kind(VmKind::HotSpotLike, seeds);
+    env::or_exit(env::apply(&mut base));
     let (serial_result, serial) = measure(&base);
     let (_, parallel) = measure(&base.clone().with_jobs(jobs));
 
@@ -486,7 +485,7 @@ fn main() {
     // first 24 are substantially heavier (larger generated programs), so
     // its seeds/s is an endurance figure and deliberately *not*
     // comparable with the throughput section above.
-    let sustained_base = CampaignConfig::for_kind(VmKind::HotSpotLike, sustained_seeds);
+    let sustained_base = CampaignConfig { seeds: sustained_seeds, ..base.clone() };
     let (_, sustained) = measure_with_reps(&sustained_base, 1);
     println!(
         "Sustained campaign: {sustained_seeds} seeds serial  {:>10.2?}  {:>8.2} seeds/s  {:>9.2} mutants/s",
@@ -675,7 +674,7 @@ fn main() {
     let mut failed = false;
     if !prune_ok {
         eprintln!("error: warmth-aware plan pruning diverged from exhaustive enumeration");
-        eprintln!("       (re-run with CSE_PRUNE_PLANS=off to bypass; this is a soundness bug)");
+        eprintln!("       (a soundness bug; `cargo test --test space_pruning` cross-checks it)");
         failed = true;
     }
     // The ≥ 2× speedup gate: only meaningful with real parallelism

@@ -7,19 +7,21 @@
 
 #![forbid(unsafe_code)]
 
-use cse_bench::{campaign_seeds, row, supervisor_from_env, ALL_KINDS};
+use cse_bench::{row, ALL_KINDS};
 use cse_core::campaign::{run_campaign, CampaignConfig, CampaignResult};
+use cse_core::env;
 use cse_vm::Symptom;
 
 fn main() {
-    let seeds = campaign_seeds(400);
+    let seeds = env::or_exit(env::SEEDS.read()).unwrap_or(400);
     println!("Table 1: statistics of found JIT-compiler bugs");
     println!("({seeds} seeds x 8 mutants per VM; override with CSE_SEEDS;");
     println!(" supervision via CSE_CHECKPOINT_DIR / CSE_QUARANTINE_DIR / CSE_DEADLINE_SECS)\n");
     let mut results: Vec<(String, CampaignResult)> = Vec::new();
     for kind in ALL_KINDS {
         let mut config = CampaignConfig::for_kind(kind, seeds);
-        config.supervisor = supervisor_from_env(&kind.to_string());
+        env::or_exit(env::apply(&mut config));
+        config.supervisor = env::or_exit(env::supervisor(&kind.to_string()));
         let result = run_campaign(&config);
         results.push((kind.to_string(), result));
     }

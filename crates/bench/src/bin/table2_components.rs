@@ -6,15 +6,17 @@
 
 #![forbid(unsafe_code)]
 
-use cse_bench::{campaign_seeds, row, ALL_KINDS};
+use cse_bench::{row, ALL_KINDS};
 use cse_core::campaign::{run_campaign, CampaignConfig};
+use cse_core::env;
 
 fn main() {
-    let seeds = campaign_seeds(400);
+    let seeds = env::or_exit(env::SEEDS.read()).unwrap_or(400);
     println!("Table 2: crash bugs per affected JIT component");
     println!("({seeds} seeds per VM; counts are crash *occurrences*, dedup in parens)\n");
     for kind in ALL_KINDS {
-        let config = CampaignConfig::for_kind(kind, seeds);
+        let mut config = CampaignConfig::for_kind(kind, seeds);
+        env::or_exit(env::apply(&mut config));
         let result = run_campaign(&config);
         println!("--- {kind} ---");
         let widths = [28, 14, 8];

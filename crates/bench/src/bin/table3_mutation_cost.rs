@@ -14,7 +14,7 @@
 
 use std::time::Instant;
 
-use cse_bench::campaign_seeds;
+use cse_core::env;
 use cse_core::mutate::Artemis;
 use cse_core::synth::SynthParams;
 use cse_vm::VmKind;
@@ -27,7 +27,7 @@ fn stats(mut samples: Vec<f64>) -> (f64, f64, f64, f64) {
 }
 
 fn main() {
-    let n = campaign_seeds(300) as usize;
+    let n = env::or_exit(env::SEEDS.read()).unwrap_or(300) as usize;
     println!("Table 3: mutation cost (milliseconds; paper reports seconds on Spoon)\n");
     let fuzz = cse_fuzz::FuzzConfig::default();
     // Pre-render seed sources: single-run mode starts from source text,

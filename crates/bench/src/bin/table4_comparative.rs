@@ -11,13 +11,13 @@
 
 use std::time::Instant;
 
-use cse_bench::campaign_seeds;
 use cse_core::baseline;
+use cse_core::env;
 use cse_core::validate::{validate, ValidateConfig};
 use cse_vm::{VmConfig, VmKind};
 
 fn main() {
-    let seeds = campaign_seeds(400);
+    let seeds = env::or_exit(env::SEEDS.read()).unwrap_or(400);
     println!("Table 4: comparative study, CSE vs. the traditional approach");
     println!("(OpenJ9-like profile, {seeds} seeds x 8 mutants; CSE_SEEDS to scale)\n");
     let vm = VmConfig::for_kind(VmKind::OpenJ9Like);

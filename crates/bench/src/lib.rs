@@ -4,7 +4,7 @@
 //! Each `src/bin/` binary regenerates one table or figure and prints rows
 //! in the paper's layout; `EXPERIMENTS.md` records paper-vs-measured for
 //! each. Campaign sizes default to laptop-friendly values and scale with
-//! the `CSE_SEEDS` environment variable.
+//! the `CSE_SEEDS` environment variable (read through `cse_core::env`).
 
 #![forbid(unsafe_code)]
 
@@ -12,34 +12,6 @@ use cse_vm::VmKind;
 
 pub mod jit_corpus;
 pub mod stopwatch;
-
-/// Supervision settings from the environment, shared by the table
-/// binaries: `CSE_CHECKPOINT_DIR` (checkpoint per profile, resume on
-/// restart), `CSE_QUARANTINE_DIR` (crash/panic repro files), and
-/// `CSE_DEADLINE_SECS` (global wall-clock budget; expired campaigns
-/// print partial totals and resume from their checkpoint next run).
-pub fn supervisor_from_env(profile: &str) -> cse_core::SupervisorConfig {
-    let mut sup = cse_core::SupervisorConfig::default();
-    if let Ok(dir) = std::env::var("CSE_CHECKPOINT_DIR") {
-        sup.checkpoint_path =
-            Some(std::path::Path::new(&dir).join(format!("{profile}.checkpoint")));
-        sup.checkpoint_every = 16;
-    }
-    if let Ok(dir) = std::env::var("CSE_QUARANTINE_DIR") {
-        sup.quarantine_dir = Some(std::path::Path::new(&dir).join(profile));
-    }
-    if let Ok(secs) = std::env::var("CSE_DEADLINE_SECS") {
-        if let Ok(secs) = secs.parse() {
-            sup.deadline = Some(std::time::Duration::from_secs(secs));
-        }
-    }
-    sup
-}
-
-/// Seeds per campaign (override with `CSE_SEEDS`).
-pub fn campaign_seeds(default: u64) -> u64 {
-    std::env::var("CSE_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(default)
-}
 
 /// All VM profiles in paper order.
 pub const ALL_KINDS: [VmKind; 3] = [VmKind::HotSpotLike, VmKind::OpenJ9Like, VmKind::ArtLike];

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use cse_vm::{BugId, Component, Symptom, VmConfig, VmKind};
 
-use crate::coverage::{self, CoverageMode, CoveragePolicy, CoverageState};
+use crate::coverage::{self, CoveragePolicy, CoverageState};
 use crate::executor;
 use crate::memo::ExecCachePolicy;
 use crate::supervisor::{self, HarnessIncident, IncidentPhase, SupervisorConfig};
@@ -59,17 +59,15 @@ pub struct CampaignConfig {
     /// [`crate::triage`]). The triage counters join the campaign digest;
     /// the full report rides on [`CampaignResult::triage`].
     pub triage: Option<TriageConfig>,
-    /// Execution-memoization policy (see [`crate::memo`]). `Auto` (the
-    /// default) follows the `CSE_EXEC_CACHE` environment knob. Like
-    /// `jobs`, deliberately not part of the checkpoint identity: the
-    /// memo is an execution strategy, not a campaign input, and the
-    /// result digest is bit-identical at every setting.
+    /// Execution-memoization policy (see [`crate::memo`]); `On` by
+    /// default. Like `jobs`, deliberately not part of the checkpoint
+    /// identity: the memo is an execution strategy, not a campaign input,
+    /// and the result digest is bit-identical at every setting.
     pub exec_cache: ExecCachePolicy,
-    /// JIT-behavior coverage policy (see [`crate::coverage`]). `Auto`
-    /// (the default) follows the `CSE_COVERAGE` environment knob; `Off`
-    /// reproduces the pre-coverage campaign byte-for-byte, `Collect`
-    /// additionally merges coverage maps (digest-identical to `Off`),
-    /// `Guide` feeds the merged map back into round scheduling.
+    /// JIT-behavior coverage policy (see [`crate::coverage`]). `Off` (the
+    /// default) reproduces the pre-coverage campaign byte-for-byte,
+    /// `Collect` additionally merges coverage maps (digest-identical to
+    /// `Off`), `Guide` feeds the merged map back into round scheduling.
     pub coverage: CoveragePolicy,
 }
 
@@ -86,8 +84,8 @@ impl CampaignConfig {
             supervisor: SupervisorConfig::default(),
             jobs: 1,
             triage: None,
-            exec_cache: ExecCachePolicy::Auto,
-            coverage: CoveragePolicy::Auto,
+            exec_cache: ExecCachePolicy::On,
+            coverage: CoveragePolicy::Off,
         }
     }
 
@@ -97,15 +95,13 @@ impl CampaignConfig {
         self
     }
 
-    /// Same campaign, with an explicit execution-memoization policy
-    /// (tests use this instead of mutating `CSE_EXEC_CACHE`).
+    /// Same campaign, with an explicit execution-memoization policy.
     pub fn with_exec_cache(mut self, policy: ExecCachePolicy) -> CampaignConfig {
         self.exec_cache = policy;
         self
     }
 
-    /// Same campaign, with an explicit coverage policy (tests use this
-    /// instead of mutating `CSE_COVERAGE`).
+    /// Same campaign, with an explicit coverage policy.
     pub fn with_coverage(mut self, policy: CoveragePolicy) -> CampaignConfig {
         self.coverage = policy;
         self
@@ -161,9 +157,9 @@ pub struct CampaignTotals {
     /// (`cse_vm::jit::tv`) across seed and mutant runs; 0 unless `vm.tv`
     /// enables the per-pass semantic oracle. Persisted in checkpoints but
     /// masked out of [`CampaignResult::digest`] (with the matching
-    /// `TvDefect` incidents), so digests are bit-identical across
-    /// `CSE_TV` settings — the validator observes campaigns, it never
-    /// changes what they find.
+    /// `TvDefect` incidents), so digests are bit-identical across TV
+    /// modes — the validator observes campaigns, it never changes what
+    /// they find.
     pub tv_defects: u64,
     /// Triage: promoted reports (deterministic or flaky), 0 unless
     /// `CampaignConfig::triage` is set. Part of the campaign digest —
@@ -182,7 +178,7 @@ pub struct CampaignTotals {
     /// **Volatile**: cache effectiveness depends on the memo policy, so
     /// these four counters are persisted in checkpoints but zeroed out
     /// of [`CampaignResult::digest`] — the digest stays bit-identical
-    /// across `CSE_EXEC_CACHE` settings and worker counts.
+    /// across memo policies and worker counts.
     pub exec_cache_hits: u64,
     /// Execution-memo lookups that missed and executed for real.
     pub exec_cache_misses: u64,
@@ -219,7 +215,7 @@ pub struct CampaignResult {
     /// carry its identity into the digest.
     pub triage: Option<crate::triage::TriageReport>,
     /// Merged coverage state, present when the campaign ran under
-    /// `CSE_COVERAGE=collect|guide`. Persisted in checkpoints (format
+    /// `CoveragePolicy::{Collect, Guide}`. Persisted in checkpoints (format
     /// v6) but masked out of [`CampaignResult::digest`]: under
     /// `collect` coverage only observes, so the digest stays identical
     /// to `off`; under `guide` the schedule it drives already shapes
@@ -258,8 +254,8 @@ impl CampaignResult {
     /// `totals.wall`, the four cache counters — which depend on the
     /// memoization policy and worker warm-up rather than on what the
     /// campaign observed — and the translation-validator observations,
-    /// which depend on the `CSE_TV` mode). A campaign killed mid-run and
-    /// resumed from its checkpoint produces the same digest as an
+    /// which depend on the `VmConfig::tv` mode). A campaign killed mid-run
+    /// and resumed from its checkpoint produces the same digest as an
     /// uninterrupted run.
     pub fn digest(&self, config: &CampaignConfig) -> u64 {
         let mut stable = self.clone();
@@ -290,7 +286,7 @@ impl CampaignResult {
 pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
     let start = Instant::now();
     let sup = &config.supervisor;
-    let mode = config.coverage.resolve();
+    let collecting = config.coverage != CoveragePolicy::Off;
     let mut result = CampaignResult::default();
     // Seed *offset* of the next seed to validate (0-based).
     let mut next: u64 = 0;
@@ -301,7 +297,7 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
                 // cannot be resumed deterministically (the schedules
                 // would diverge); restart instead, like a foreign
                 // checkpoint.
-                if checkpoint.result.coverage.is_some() != (mode != CoverageMode::Off) {
+                if checkpoint.result.coverage.is_some() != collecting {
                     eprintln!(
                         "warning: ignoring checkpoint {}: coverage mode changed",
                         path.display()
@@ -320,13 +316,13 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
             }
         }
     }
-    if mode != CoverageMode::Off && result.coverage.is_none() {
+    if collecting && result.coverage.is_none() {
         result.coverage = Some(CoverageState::default());
     }
     // Wall time accumulated by previous (killed) invocations.
     let prior_wall = result.totals.wall;
     let mut vm = config.vm.clone();
-    vm.coverage = mode != CoverageMode::Off;
+    vm.coverage = collecting;
     let validate_config = ValidateConfig {
         max_iter: config.max_iter,
         vm,
@@ -337,7 +333,7 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
     // Seeds processed by this invocation (the `stop_after_seeds` budget
     // spans rounds).
     let mut processed: u64 = 0;
-    let mut result = if mode != CoverageMode::Guide {
+    let mut result = if config.coverage != CoveragePolicy::Guide {
         // Unguided: one pass over the whole remaining range.
         let ctx = executor::ExecContext { config, validate_config, start, prior_wall, round: None };
         executor::run(&ctx, result, next, config.seeds, &mut processed)

@@ -30,55 +30,17 @@ pub const ROUND_LEN: u64 = 4;
 /// admission, oldest first) is evicted past this.
 const CORPUS_CAP: usize = 64;
 
-/// The coverage policy, resolved from config or the `CSE_COVERAGE`
-/// environment knob.
+/// The coverage policy of a campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CoveragePolicy {
-    /// Defer to `CSE_COVERAGE` (`off` when unset).
-    #[default]
-    Auto,
     /// No collection; byte-identical to a pre-coverage campaign.
+    #[default]
     Off,
     /// Collect and merge maps; scheduling stays uniform (a campaign
     /// digest-identical to `Off`, plus a coverage report).
     Collect,
     /// Collect and feed the round scheduler.
     Guide,
-}
-
-/// The resolved (non-`Auto`) policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoverageMode {
-    Off,
-    Collect,
-    Guide,
-}
-
-fn coverage_env_default() -> CoverageMode {
-    static MODE: std::sync::OnceLock<CoverageMode> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("CSE_COVERAGE").as_deref() {
-        Err(_) | Ok("off") | Ok("") => CoverageMode::Off,
-        Ok("collect") => CoverageMode::Collect,
-        Ok("guide") => CoverageMode::Guide,
-        Ok(other) => {
-            static WARN: std::sync::Once = std::sync::Once::new();
-            let text = format!("CSE_COVERAGE={other} is not off|collect|guide; coverage is off");
-            WARN.call_once(|| eprintln!("warning: {text}"));
-            CoverageMode::Off
-        }
-    })
-}
-
-impl CoveragePolicy {
-    /// Resolves `Auto` against the environment.
-    pub fn resolve(self) -> CoverageMode {
-        match self {
-            CoveragePolicy::Auto => coverage_env_default(),
-            CoveragePolicy::Off => CoverageMode::Off,
-            CoveragePolicy::Collect => CoverageMode::Collect,
-            CoveragePolicy::Guide => CoverageMode::Guide,
-        }
-    }
 }
 
 /// The forced-plan coordinate a scheduled task pins, exploring the

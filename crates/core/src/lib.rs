@@ -17,7 +17,7 @@
 //!   aggregation.
 //! * [`coverage`] — JIT-behavior coverage feedback: merged coverage
 //!   maps, the minimized live corpus, and the deterministic round
-//!   scheduler behind `CSE_COVERAGE=guide`.
+//!   scheduler behind `CoveragePolicy::Guide`.
 //! * [`executor`] — the campaign engines: the serial reference loop and
 //!   the deterministic work-stealing parallel executor behind
 //!   `CampaignConfig::jobs`.
@@ -26,6 +26,9 @@
 //! * [`triage`] — automated incident triage: in-campaign reduction,
 //!   signature-based dedup, and flakiness re-execution under the VM's
 //!   deterministic resource budgets.
+//! * [`env`] — the `CSE_*` knobs of the command-line binaries, parsed in
+//!   one place and applied by their `main` functions; nothing else in the
+//!   library crates reads the environment.
 //!
 //! # Examples
 //!
@@ -49,6 +52,7 @@
 pub mod baseline;
 pub mod campaign;
 pub mod coverage;
+pub mod env;
 pub mod executor;
 pub mod memo;
 pub mod mutate;
@@ -59,7 +63,7 @@ pub mod synth;
 pub mod triage;
 pub mod validate;
 
-pub use coverage::{CoverageMode, CoveragePolicy, CoverageState, PlanVariant};
+pub use coverage::{CoveragePolicy, CoverageState, PlanVariant};
 pub use memo::{ExecCachePolicy, ExecMemo};
 pub use mutate::{AppliedMutation, Artemis, Mutator};
 pub use supervisor::{ChaosConfig, HarnessIncident, IncidentPhase, SupervisorConfig};
@@ -158,7 +162,7 @@ mod tests {
                 vm: VmConfig::correct(VmKind::HotSpotLike),
                 params: SynthParams::for_kind(VmKind::HotSpotLike),
                 verify_neutrality: true,
-                exec_cache: ExecCachePolicy::Auto,
+                exec_cache: ExecCachePolicy::On,
             };
             let outcome = validate::validate(&seed, &config, seed_value);
             assert_eq!(outcome.neutrality_violations, 0, "seed {seed_value}");

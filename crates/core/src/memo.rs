@@ -39,14 +39,13 @@
 //! panicking runs, and runs whose event log hit the `max_events` cap
 //! (the footprint would under-approximate the compiled set).
 //!
-//! # Kill switch and cross-checking
+//! # Cross-checking
 //!
-//! `CSE_EXEC_CACHE` mirrors `CSE_PRUNE_PLANS`: memoization is on unless
-//! `CSE_EXEC_CACHE=0`/`off`, and `CSE_EXEC_CACHE=check` re-executes
-//! every hit and asserts the replay is exact (CI runs a leg in this
-//! mode). Campaign digests are bit-identical with the cache on, off, or
-//! checking — [`crate::campaign::CampaignResult::digest`] excludes the
-//! hit counters, and hits still count as `vm_invocations`.
+//! Memoization is on by default ([`ExecCachePolicy::On`]);
+//! [`ExecCachePolicy::Check`] re-executes every hit and asserts the
+//! replay is exact. Campaign digests are bit-identical with the cache on,
+//! off, or checking — [`crate::campaign::CampaignResult::digest`]
+//! excludes the hit counters, and hits still count as `vm_invocations`.
 
 use cse_bytecode::{BProgram, ProgramDigests};
 use cse_vm::{ExecutionResult, TraceEvent, VmConfig, WarmthProfile};
@@ -54,68 +53,24 @@ use cse_vm::{ExecutionResult, TraceEvent, VmConfig, WarmthProfile};
 /// Execution-memoization policy for validation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecCachePolicy {
-    /// Follow the `CSE_EXEC_CACHE` environment switch (the default:
-    /// memoization is on unless `CSE_EXEC_CACHE=0`/`off`; `check`
-    /// selects [`Check`](ExecCachePolicy::Check)).
-    Auto,
     On,
     Off,
     /// Memoize, but re-execute every hit and assert the recorded result
-    /// is a bit-exact replay (modulo `code_cache_hits`). The
-    /// cross-check mode behind the CI leg; panics on a mismatch.
+    /// is a bit-exact replay (modulo `code_cache_hits`). Panics on a
+    /// mismatch.
     Check,
 }
 
 impl ExecCachePolicy {
     /// Whether lookups and recording happen at all.
     pub fn enabled(self) -> bool {
-        match self {
-            ExecCachePolicy::On => true,
-            ExecCachePolicy::Off => false,
-            ExecCachePolicy::Check => true,
-            ExecCachePolicy::Auto => exec_cache_env_default() != EnvDefault::Off,
-        }
+        self != ExecCachePolicy::Off
     }
 
     /// Whether hits must be re-executed and compared.
     pub fn checking(self) -> bool {
-        match self {
-            ExecCachePolicy::Check => true,
-            ExecCachePolicy::Auto => exec_cache_env_default() == EnvDefault::Check,
-            _ => false,
-        }
+        self == ExecCachePolicy::Check
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EnvDefault {
-    On,
-    Off,
-    Check,
-}
-
-/// The process-wide `CSE_EXEC_CACHE` default, read once. Tests that need
-/// a specific behavior pass [`ExecCachePolicy::On`]/[`Off`]/[`Check`]
-/// explicitly — mutating the environment would race under the threaded
-/// test runner.
-///
-/// [`Off`]: ExecCachePolicy::Off
-/// [`Check`]: ExecCachePolicy::Check
-fn exec_cache_env_default() -> EnvDefault {
-    static MODE: std::sync::OnceLock<EnvDefault> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("CSE_EXEC_CACHE") {
-        Ok(v) if v == "0" || v == "off" => EnvDefault::Off,
-        Ok(v) if v == "check" => EnvDefault::Check,
-        Ok(v) if v == "1" || v == "on" || v.is_empty() => EnvDefault::On,
-        Ok(v) => {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| {
-                eprintln!("[cse-core] unknown CSE_EXEC_CACHE={v:?}; expected on/off/check");
-            });
-            EnvDefault::On
-        }
-        Err(_) => EnvDefault::On,
-    })
 }
 
 /// One recorded run: the config fingerprint, the program footprint it

@@ -145,40 +145,8 @@ pub struct SpacePoint {
 /// Warmth-aware plan-space pruning policy for [`enumerate_space_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrunePlans {
-    /// Follow the `CSE_PRUNE_PLANS` environment switch (the default:
-    /// pruning is on unless `CSE_PRUNE_PLANS=0`/`off`).
-    Auto,
     On,
     Off,
-}
-
-impl PrunePlans {
-    fn enabled(self) -> bool {
-        match self {
-            PrunePlans::On => true,
-            PrunePlans::Off => false,
-            PrunePlans::Auto => prune_env_default(),
-        }
-    }
-}
-
-/// The process-wide `CSE_PRUNE_PLANS` default, read once. Tests that need
-/// both behaviors pass [`PrunePlans::On`]/[`PrunePlans::Off`] explicitly —
-/// mutating the environment would race under the threaded test runner.
-fn prune_env_default() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| match std::env::var("CSE_PRUNE_PLANS") {
-        Ok(v) if v == "0" || v == "off" => false,
-        Ok(v) if v == "1" || v == "on" || v.is_empty() => true,
-        Ok(v) => {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| {
-                eprintln!("[cse-core] unknown CSE_PRUNE_PLANS={v:?}; expected on/off");
-            });
-            true
-        }
-        Err(_) => true,
-    })
 }
 
 /// Exhaustively explores the compilation space of `program` over the given
@@ -189,9 +157,8 @@ fn prune_env_default() -> bool {
 /// of `base_config` while the rest interpret; calls outside the list run
 /// interpreted. Returns all `2^n` points in subset-bitmask order.
 ///
-/// Warmth-aware pruning ([`PrunePlans::Auto`], switchable via
-/// `CSE_PRUNE_PLANS`) may serve some points from a proven-identical
-/// representative run instead of executing them; see
+/// Warmth-aware pruning ([`PrunePlans::On`]) may serve some points from a
+/// proven-identical representative run instead of executing them; see
 /// [`enumerate_space_with`].
 ///
 /// # Panics
@@ -203,7 +170,7 @@ pub fn enumerate_space(
     calls: &[(MethodId, u64)],
     base_config: &VmConfig,
 ) -> Vec<SpacePoint> {
-    enumerate_space_with(program, calls, base_config, PrunePlans::Auto)
+    enumerate_space_with(program, calls, base_config, PrunePlans::On)
 }
 
 /// [`enumerate_space`] with an explicit pruning policy.
@@ -230,7 +197,7 @@ pub fn enumerate_space(
 /// faithfulness (a miscompiled branch may steer execution into calls the
 /// reference run never made), which is why the pruned and exhaustive
 /// enumerations are digest-cross-checked in `cse-bench` and the pruning
-/// property tests, and why `CSE_PRUNE_PLANS=off` exists as a kill switch.
+/// property tests, and why [`PrunePlans::Off`] exists as a kill switch.
 /// Pruned points clone their representative's [`ExecutionResult`], so
 /// pruned and exhaustive output are bit-identical whenever the obligation
 /// holds.
@@ -263,7 +230,7 @@ pub fn enumerate_space_with(
     let choices_of =
         |mask: u32| (0..calls.len()).map(|bit| mask & (1 << bit) != 0).collect::<Vec<bool>>();
 
-    if !prune.enabled() {
+    if prune == PrunePlans::Off {
         return (0..total)
             .map(|mask| {
                 let (program, config) = run_mask(mask);

@@ -43,7 +43,7 @@
 //!   source <0|1>  [+ text block when 1]
 //! ```
 //!
-//! A campaign running under `CSE_COVERAGE=collect|guide` writes format
+//! A campaign running under `CoveragePolicy::{Collect, Guide}` writes format
 //! v6: the v5 body followed by a `coverage` section (merged map, the
 //! minimized corpus, the active round's schedule — see
 //! [`crate::coverage`]). Coverage-off campaigns keep writing v5
@@ -65,7 +65,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use cse_vm::{BugId, Component, Symptom, VmConfig};
+use cse_vm::{BugId, Component, FaultInjector, Symptom, VmConfig, VmKind};
 
 use crate::campaign::{BugEvidence, CampaignConfig, CampaignResult};
 use crate::coverage::{CorpusEntry, CoverageState, PlanVariant, TaskSpec};
@@ -688,12 +688,101 @@ fn sanitize(name: &str) -> String {
 fn vm_profile_header(vm: &VmConfig) -> String {
     let bugs: Vec<String> = vm.faults.bugs().map(|b| format!("{b:?}")).collect();
     format!(
-        "// vm profile: {:?} (jit: {}, fuel: {})\n// active bugs: {}\n",
+        "// vm profile: {:?} (jit: {}, fuel: {}, verify_ir: {}, tv: {})\n// active bugs: {}\n",
         vm.kind,
         vm.jit_enabled,
         vm.fuel,
+        vm.verify_ir,
+        vm.tv,
         if bugs.is_empty() { "none".to_string() } else { bugs.join(",") }
     )
+}
+
+/// Applies one `vm profile:` header (`HotSpotLike (jit: true, fuel: N,
+/// verify_ir: off, tv: boundary)`) to a fresh bug-free config of that
+/// kind. Fields a header lacks keep `VmConfig::correct`'s value, so files
+/// written before the oracle modes were recorded still parse.
+fn parse_vm_profile(header: &str) -> Option<VmConfig> {
+    let (kind, fields) = header.split_once(' ').unwrap_or((header, ""));
+    let kind = match kind {
+        "HotSpotLike" => VmKind::HotSpotLike,
+        "OpenJ9Like" => VmKind::OpenJ9Like,
+        "ArtLike" => VmKind::ArtLike,
+        _ => return None,
+    };
+    let mut vm = VmConfig::correct(kind);
+    let fields = fields.trim().trim_start_matches('(').trim_end_matches(')');
+    for field in fields.split(", ").filter(|f| !f.is_empty()) {
+        let (key, value) = field.split_once(": ")?;
+        match key {
+            "jit" => vm.jit_enabled = value.parse().ok()?,
+            "fuel" => vm.fuel = value.parse().ok()?,
+            "verify_ir" => vm.verify_ir = crate::env::VERIFY_IR.parse(value).ok()?,
+            "tv" => vm.tv = crate::env::TV.parse(value).ok()?,
+            _ => {}
+        }
+    }
+    Some(vm)
+}
+
+/// Reconstructs an incident, and the VM profile that produced it, from a
+/// repro file [`quarantine_incident`] wrote. `None` when a required
+/// header (phase, campaign seed, rng seed, VM profile) is missing or
+/// malformed.
+pub fn parse_repro(text: &str) -> Option<(HarnessIncident, VmConfig)> {
+    let mut phase = None;
+    let mut seed = None;
+    let mut rng_seed = None;
+    let mut iteration = None;
+    let mut payload = Vec::new();
+    let mut vm = None;
+    let mut bugs = None;
+    let mut no_source = false;
+    let mut source_at = None;
+    let mut offset = 0;
+    for line in text.lines() {
+        let Some(rest) = line.strip_prefix("// ") else {
+            // First non-header line: the program source starts here.
+            source_at = Some(offset);
+            break;
+        };
+        offset += line.len() + 1;
+        if let Some(v) = rest.strip_prefix("phase: ") {
+            phase = IncidentPhase::from_name(v.trim());
+        } else if let Some(v) = rest.strip_prefix("campaign seed: ") {
+            seed = v.trim().parse::<u64>().ok();
+        } else if let Some(v) = rest.strip_prefix("rng seed: ") {
+            rng_seed = v.trim().parse::<u64>().ok();
+        } else if let Some(v) = rest.strip_prefix("mutation iteration: ") {
+            iteration = v.trim().parse::<usize>().ok();
+        } else if let Some(v) = rest.strip_prefix("panic: ") {
+            payload.push(v);
+        } else if let Some(v) = rest.strip_prefix("vm profile: ") {
+            vm = parse_vm_profile(v.trim());
+        } else if let Some(v) = rest.strip_prefix("active bugs: ") {
+            let v = v.trim();
+            bugs = Some(if v == "none" {
+                Vec::new()
+            } else {
+                v.split(',').filter_map(|name| bug_from_name(name.trim()).ok()).collect()
+            });
+        } else if rest.trim() == "(no source captured)" {
+            no_source = true;
+        }
+    }
+    let incident = HarnessIncident {
+        phase: phase?,
+        seed: seed?,
+        rng_seed: rng_seed?,
+        iteration,
+        payload: payload.join("\n"),
+        source: if no_source { None } else { source_at.map(|at| text[at..].to_string()) },
+    };
+    let mut vm = vm?;
+    if let Some(bugs) = bugs {
+        vm.faults = FaultInjector::with(bugs);
+    }
+    Some((incident, vm))
 }
 
 /// Persists a contained harness incident as a self-contained repro file
@@ -778,7 +867,6 @@ pub fn quarantine_crash(
 mod tests {
     use super::*;
     use crate::campaign::CampaignConfig;
-    use cse_vm::VmKind;
 
     fn sample_result() -> CampaignResult {
         let mut result = CampaignResult::default();
@@ -944,5 +1032,33 @@ mod tests {
         assert!(body.contains("chaos: injected VM panic"));
         assert!(body.contains("class T"));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn quarantined_incidents_round_trip_through_parse_repro() {
+        let dir = std::env::temp_dir().join(format!("cse-repro-round-trip-{}", std::process::id()));
+        let mut vm = VmConfig::for_kind(VmKind::OpenJ9Like)
+            .with_verify_ir(cse_vm::VerifyMode::Each)
+            .with_tv(cse_vm::TvMode::Boundary);
+        vm.jit_enabled = false;
+        vm.fuel = 12_345;
+        for incident in &sample_result().incidents {
+            let path = quarantine_incident(&dir, incident, &vm).expect("write");
+            let text = std::fs::read_to_string(&path).expect("read");
+            let (parsed, parsed_vm) = parse_repro(&text).expect("parse");
+            assert_eq!(&parsed, incident);
+            assert_eq!(parsed_vm.exec_fingerprint(), vm.exec_fingerprint());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+
+        // A header written before the oracle modes were recorded still
+        // parses, with both oracles off.
+        let old = "// phase: SeedRun\n// campaign seed: 3\n// rng seed: 3\n\
+                   // vm profile: ArtLike (jit: true, fuel: 99)\n\
+                   // active bugs: none\nclass T {}\n";
+        let (incident, vm) = parse_repro(old).expect("parse");
+        assert_eq!((incident.seed, incident.source.as_deref()), (3, Some("class T {}\n")));
+        assert_eq!((vm.kind, vm.fuel, vm.faults.is_empty()), (VmKind::ArtLike, 99, true));
+        assert_eq!((vm.verify_ir, vm.tv), (cse_vm::VerifyMode::Off, cse_vm::TvMode::Off));
     }
 }

@@ -28,8 +28,8 @@
 //!    are kept in a suppressed list for visibility.
 //!
 //! Everything here is bounded by deterministic budgets — the reducer's
-//! step budget and the VM's fuel/heap/stack budgets (`CSE_FUEL`,
-//! `CSE_HEAP_LIMIT`, `CSE_STACK_LIMIT`); the replay VM runs with the
+//! step budget and the VM's fuel/heap/stack budgets (`VmConfig::fuel`,
+//! `max_heap_bytes`, `stack_limit`); the replay VM runs with the
 //! wall-clock watchdog *disabled* — so triage verdicts, report
 //! renderings, and campaign digests are bit-identical across machines
 //! and worker counts.
@@ -216,11 +216,10 @@ pub struct TriageConfig {
     /// on every replay: the fuel/heap/stack budgets bound execution, so
     /// verdicts cannot depend on machine speed.
     pub vm: VmConfig,
-    /// Step budget for each representative's reduction
-    /// (`CSE_TRIAGE_STEPS` overrides the default of 1000).
+    /// Step budget for each representative's reduction (default 1000).
     pub max_reduce_steps: usize,
     /// Re-executions per parallelism level during flakiness
-    /// classification (`CSE_TRIAGE_RERUNS` overrides the default of 3);
+    /// classification (default 3);
     /// each repro runs `reruns` times serially plus `reruns` times
     /// across 4 threads.
     pub reruns: usize,
@@ -240,18 +239,8 @@ impl TriageConfig {
         let mut vm = config.vm.clone();
         vm.wall_clock_limit = None;
         vm.chaos_panic_at_ops = None;
-        TriageConfig {
-            vm,
-            max_reduce_steps: env_usize("CSE_TRIAGE_STEPS").unwrap_or(1000),
-            reruns: env_usize("CSE_TRIAGE_RERUNS").unwrap_or(3),
-            retries: 1,
-            jobs: config.jobs,
-        }
+        TriageConfig { vm, max_reduce_steps: 1000, reruns: 3, retries: 1, jobs: config.jobs }
     }
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
 }
 
 // ----- replay -------------------------------------------------------------

@@ -53,7 +53,7 @@ pub struct ValidateConfig {
     /// Execution-memoization policy (see [`crate::memo`]): replay runs
     /// whose program footprint provably matches an earlier recorded run
     /// instead of executing them. Never changes a verdict or a digest —
-    /// `CSE_EXEC_CACHE=off` is the kill switch, `check` the cross-check.
+    /// `Off` is the kill switch, `Check` the cross-check.
     pub exec_cache: ExecCachePolicy,
 }
 
@@ -67,7 +67,7 @@ impl ValidateConfig {
             vm,
             params,
             verify_neutrality: true,
-            exec_cache: ExecCachePolicy::Auto,
+            exec_cache: ExecCachePolicy::On,
         }
     }
 }
@@ -471,7 +471,7 @@ fn memoized_run(
             assert_eq!(
                 render_for_check(&fresh),
                 render_for_check(&found),
-                "execution-memo replay diverged from a fresh run (CSE_EXEC_CACHE=check)"
+                "execution-memo replay diverged from a fresh run (ExecCachePolicy::Check)"
             );
         }
         memo.hit();

@@ -28,8 +28,7 @@ impl std::fmt::Display for VmKind {
 }
 
 /// When the static IR verifier ([`crate::jit::verify`]) runs during a
-/// compilation. Selected per [`VmConfig`]; the default comes from the
-/// `CSE_VERIFY_IR` environment variable (`off`/`boundary`/`each`).
+/// compilation. Selected per [`VmConfig`]; off by default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum VerifyMode {
     /// No IR verification (zero overhead).
@@ -43,29 +42,6 @@ pub enum VerifyMode {
     Each,
 }
 
-impl VerifyMode {
-    /// Reads the mode from `CSE_VERIFY_IR`. Unset or `off` means [`Off`];
-    /// an unrecognized value warns once and falls back to [`Off`] rather
-    /// than tearing down a campaign.
-    ///
-    /// [`Off`]: VerifyMode::Off
-    pub fn from_env() -> VerifyMode {
-        match std::env::var("CSE_VERIFY_IR") {
-            Ok(v) if v == "boundary" => VerifyMode::Boundary,
-            Ok(v) if v == "each" => VerifyMode::Each,
-            Ok(v) if v == "off" || v.is_empty() => VerifyMode::Off,
-            Ok(v) => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| {
-                    eprintln!("[cse-vm] unknown CSE_VERIFY_IR={v:?}; expected off/boundary/each");
-                });
-                VerifyMode::Off
-            }
-            Err(_) => VerifyMode::Off,
-        }
-    }
-}
-
 impl std::fmt::Display for VerifyMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -77,8 +53,7 @@ impl std::fmt::Display for VerifyMode {
 }
 
 /// When the translation validator ([`crate::jit::tv`]) runs during a
-/// compilation. Selected per [`VmConfig`]; the default comes from the
-/// `CSE_TV` environment variable (`off`/`boundary`/`each`). Orthogonal to
+/// compilation. Selected per [`VmConfig`]; off by default. Orthogonal to
 /// [`VerifyMode`]: the static verifier proves the IR is *well-formed*,
 /// the translation validator proves each pass *refined the semantics*.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -96,29 +71,6 @@ pub enum TvMode {
     Each,
 }
 
-impl TvMode {
-    /// Reads the mode from `CSE_TV`. Unset or `off` means [`Off`]; an
-    /// unrecognized value warns once and falls back to [`Off`] rather
-    /// than tearing down a campaign.
-    ///
-    /// [`Off`]: TvMode::Off
-    pub fn from_env() -> TvMode {
-        match std::env::var("CSE_TV") {
-            Ok(v) if v == "boundary" => TvMode::Boundary,
-            Ok(v) if v == "each" => TvMode::Each,
-            Ok(v) if v == "off" || v.is_empty() => TvMode::Off,
-            Ok(v) => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| {
-                    eprintln!("[cse-vm] unknown CSE_TV={v:?}; expected off/boundary/each");
-                });
-                TvMode::Off
-            }
-            Err(_) => TvMode::Off,
-        }
-    }
-}
-
 impl std::fmt::Display for TvMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -127,43 +79,6 @@ impl std::fmt::Display for TvMode {
             TvMode::Each => write!(f, "each"),
         }
     }
-}
-
-/// Reads a numeric budget override from the environment, once per
-/// variable per process (the value is cached so hot campaign loops never
-/// touch the environment). Unset means "use the built-in default"; a
-/// non-numeric value warns once and is ignored rather than tearing down
-/// a campaign — the same contract as [`VerifyMode::from_env`].
-fn env_budget(cache: &'static std::sync::OnceLock<Option<u64>>, name: &'static str) -> Option<u64> {
-    *cache.get_or_init(|| match std::env::var(name) {
-        Ok(v) if v.is_empty() => None,
-        Ok(v) => match v.parse::<u64>() {
-            Ok(n) => Some(n),
-            Err(_) => {
-                eprintln!("[cse-vm] ignoring non-numeric {name}={v:?}");
-                None
-            }
-        },
-        Err(_) => None,
-    })
-}
-
-/// `CSE_FUEL` override for [`VmConfig::fuel`] (unset = 40M ops).
-fn fuel_from_env() -> Option<u64> {
-    static CACHE: std::sync::OnceLock<Option<u64>> = std::sync::OnceLock::new();
-    env_budget(&CACHE, "CSE_FUEL")
-}
-
-/// `CSE_HEAP_LIMIT` override for [`VmConfig::max_heap_bytes`], in bytes.
-fn heap_limit_from_env() -> Option<u64> {
-    static CACHE: std::sync::OnceLock<Option<u64>> = std::sync::OnceLock::new();
-    env_budget(&CACHE, "CSE_HEAP_LIMIT")
-}
-
-/// `CSE_STACK_LIMIT` override for [`VmConfig::stack_limit`], in frames.
-fn stack_limit_from_env() -> Option<u64> {
-    static CACHE: std::sync::OnceLock<Option<u64>> = std::sync::OnceLock::new();
-    env_budget(&CACHE, "CSE_STACK_LIMIT")
 }
 
 /// A compilation tier (0 = interpreter). Tier numbers are the paper's
@@ -211,7 +126,7 @@ pub struct VmConfig {
     /// object). Exceeding it — after a last-chance collection — yields a
     /// graceful `Outcome::BudgetExceeded(Resource::HeapBytes)`, so a
     /// pathological mutant can bloat the guest heap without taking the
-    /// host down. Default comes from `CSE_HEAP_LIMIT` (256 MiB unset).
+    /// host down. Default 256 MiB.
     pub max_heap_bytes: usize,
     /// Max logical call depth before `StackOverflowError`.
     pub max_call_depth: usize,
@@ -220,7 +135,7 @@ pub struct VmConfig {
     /// program with a raised `max_call_depth` could overflow the *host*
     /// stack; this budget ends the run first with a graceful
     /// `Outcome::BudgetExceeded(Resource::StackDepth)` (not a catchable
-    /// guest exception). Default comes from `CSE_STACK_LIMIT` (512 unset).
+    /// guest exception). Default 512.
     pub stack_limit: usize,
     /// Record a `MethodEntry` trace event per call (verbose; only for
     /// small programs / compilation-space enumeration).
@@ -248,15 +163,15 @@ pub struct VmConfig {
     /// tests can exercise panic containment reproducibly; `None` (the
     /// default everywhere) never panics.
     pub chaos_panic_at_ops: Option<u64>,
-    /// Static IR verification mode (see [`crate::jit::verify`]). Defaults
-    /// to `CSE_VERIFY_IR` (off when unset). Verification never changes
-    /// observable behavior; defects are reported out-of-band through
-    /// `ExecutionResult::ir_verify` / `ExecStats::ir_verify_defects`.
+    /// Static IR verification mode (see [`crate::jit::verify`]); off by
+    /// default. Verification never changes observable behavior; defects
+    /// are reported out-of-band through `ExecutionResult::ir_verify` /
+    /// `ExecStats::ir_verify_defects`.
     pub verify_ir: VerifyMode,
-    /// Translation-validation mode (see [`crate::jit::tv`]). Defaults to
-    /// `CSE_TV` (off when unset). Validation never changes observable
-    /// behavior; defects are reported out-of-band through
-    /// `ExecutionResult::tv` / `ExecStats::tv_defects`.
+    /// Translation-validation mode (see [`crate::jit::tv`]); off by
+    /// default. Validation never changes observable behavior; defects are
+    /// reported out-of-band through `ExecutionResult::tv` /
+    /// `ExecStats::tv_defects`.
     pub tv: TvMode,
     /// Whether to record JIT-behavior coverage into
     /// `ExecStats::coverage` (see [`crate::coverage`]). Off by default
@@ -294,12 +209,12 @@ impl VmConfig {
             kind,
             tiers,
             jit_enabled: true,
-            fuel: fuel_from_env().unwrap_or(40_000_000),
+            fuel: 40_000_000,
             gc_interval: 4096,
             max_objects: 1_000_000,
-            max_heap_bytes: heap_limit_from_env().unwrap_or(256 * 1024 * 1024) as usize,
+            max_heap_bytes: 256 * 1024 * 1024,
             max_call_depth: 128,
-            stack_limit: stack_limit_from_env().unwrap_or(512) as usize,
+            stack_limit: 512,
             record_method_entries: false,
             max_events: 100_000,
             faults: FaultInjector::none(),
@@ -308,8 +223,8 @@ impl VmConfig {
             max_deopts_per_method: 3,
             wall_clock_limit: None,
             chaos_panic_at_ops: None,
-            verify_ir: VerifyMode::from_env(),
-            tv: TvMode::from_env(),
+            verify_ir: VerifyMode::Off,
+            tv: TvMode::Off,
             coverage: false,
         }
     }

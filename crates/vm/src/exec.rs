@@ -48,10 +48,10 @@ pub struct CrashInfo {
 /// triage verdicts and campaign digests machine-independent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Resource {
-    /// Logical heap bytes (`VmConfig::max_heap_bytes` / `CSE_HEAP_LIMIT`).
+    /// Logical heap bytes (`VmConfig::max_heap_bytes`).
     HeapBytes,
-    /// Hard harness call-depth cap (`VmConfig::stack_limit` /
-    /// `CSE_STACK_LIMIT`) — distinct from `max_call_depth`, which models
+    /// Hard harness call-depth cap (`VmConfig::stack_limit`) — distinct
+    /// from `max_call_depth`, which models
     /// the *guest* `StackOverflowError` and stays catchable.
     StackDepth,
 }

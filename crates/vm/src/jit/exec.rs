@@ -93,18 +93,6 @@ fn find_handler(func: &IrFunc, mut frame: u16, mut bc_pc: u32) -> Option<usize> 
     }
 }
 
-thread_local! {
-    /// Last-executed-instruction ring buffer, kept when `CSE_TRACE_JIT` is
-    /// set; the panic path of debugging tools prints it.
-    pub static TRACE_RING: std::cell::RefCell<std::collections::VecDeque<String>> =
-        std::cell::RefCell::new(std::collections::VecDeque::with_capacity(64));
-}
-
-fn trace_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("CSE_TRACE_JIT").is_some())
-}
-
 #[allow(clippy::too_many_lines)]
 fn exec_loop(vm: &mut Vm<'_>, func: &IrFunc, frame_idx: usize) -> Result<IrOutcome, Exit> {
     // Interned literal pool (shared with the interpreter): `ConstS` below
@@ -141,38 +129,10 @@ fn exec_loop(vm: &mut Vm<'_>, func: &IrFunc, frame_idx: usize) -> Result<IrOutco
             vm.reg_frames[frame_idx][$r as usize]
         };
     }
-    // Hoisted out of the dispatch loop: one `OnceLock` read per
-    // activation instead of one per executed instruction.
-    let tracing = trace_enabled();
     'dispatch: loop {
         let b = &func.blocks[block as usize];
         while inst_idx < b.insts.len() {
             let inst = &b.insts[inst_idx];
-            if tracing {
-                TRACE_RING.with(|ring| {
-                    let mut ring = ring.borrow_mut();
-                    if ring.len() >= 60 {
-                        ring.pop_front();
-                    }
-                    let srcs: Vec<String> = inst
-                        .op
-                        .sources()
-                        .iter()
-                        .map(|r| format!("r{r}={:?}", vm.reg_frames[frame_idx][*r as usize]))
-                        .collect();
-                    ring.push_back(format!(
-                        "m{} {:?} osr={:?} b{} i{} dst={:?} {:?} [{}]",
-                        func.method.0,
-                        func.tier,
-                        func.osr_entry,
-                        block,
-                        inst_idx,
-                        inst.dst,
-                        inst.op,
-                        srcs.join(", ")
-                    ));
-                });
-            }
             vm.burn(1)?;
             vm.stats.jit_ops += 1;
             // Exception plumbing: ops that raise go through `raise` below.
@@ -418,22 +378,6 @@ fn exec_loop(vm: &mut Vm<'_>, func: &IrFunc, frame_idx: usize) -> Result<IrOutco
                     }
                 }
             }
-        }
-        if trace_enabled() {
-            TRACE_RING.with(|ring| {
-                let mut ring = ring.borrow_mut();
-                if ring.len() >= 60 {
-                    ring.pop_front();
-                }
-                ring.push_back(format!(
-                    "m{} {:?} osr={:?} b{} TERM {:?}",
-                    func.method.0,
-                    func.tier,
-                    func.osr_entry,
-                    block,
-                    func.blocks[block as usize].term
-                ));
-            });
         }
         match &func.blocks[block as usize].term {
             Term::Jump(b2) => {

@@ -336,7 +336,7 @@ impl Op {
 }
 
 impl std::fmt::Display for Op {
-    /// One-line disassembly, used by `CSE_DUMP_IR` dumps and by
+    /// One-line disassembly, used by [`IrFunc::pretty`] and by
     /// [`crate::jit::verify::IrVerifyError`] reports.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -654,8 +654,7 @@ impl IrFunc {
         preds
     }
 
-    /// Full-function disassembly (used by the `CSE_DUMP_IR` debug path and
-    /// verifier incident payloads).
+    /// Full-function disassembly (used in verifier incident payloads).
     pub fn pretty(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();

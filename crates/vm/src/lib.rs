@@ -869,14 +869,6 @@ impl<'p> Vm<'p> {
         let rendered_tv = Rc::new(rendered_tv);
         match compiled {
             Ok(func) => {
-                if std::env::var_os("CSE_DUMP_IR").is_some() {
-                    eprintln!(
-                        "=== compiled m{} {:?} osr={osr:?} ===\n{}",
-                        method.0,
-                        tier,
-                        func.pretty()
-                    );
-                }
                 let func = Rc::new(func);
                 if let (Some(cache), Some(k)) = (&shared, shared_key) {
                     cache.insert(

@@ -5,16 +5,22 @@
 //! ```sh
 //! cargo run --release --example bughunt
 //! ```
+//!
+//! Knobs: `CSE_SEEDS` (default 40), `CSE_JOBS` (default 1), `CSE_TRIAGE=1`
+//! (triage quarantined incidents at the end), and the campaign knobs
+//! `CSE_VERIFY_IR`, `CSE_TV`, `CSE_EXEC_CACHE`, `CSE_COVERAGE`.
 
 use artemis_cse::core::campaign::{run_campaign, CampaignConfig};
+use artemis_cse::core::env;
 use artemis_cse::core::validate::compile_checked;
 use artemis_cse::vm::{Outcome, Vm, VmConfig, VmKind};
 
 fn main() {
-    let seeds = std::env::var("CSE_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(40);
-    println!("hunting with {seeds} seeds x 8 mutants against the OpenJ9-like VM ...\n");
-    let jobs = std::env::var("CSE_JOBS").ok().and_then(|s| s.parse().ok()).unwrap_or(1);
+    let seeds = env::or_exit(env::SEEDS.read()).unwrap_or(40);
+    let jobs = env::or_exit(env::JOBS.read()).unwrap_or(1);
     let mut config = CampaignConfig::for_kind(VmKind::OpenJ9Like, seeds).with_jobs(jobs);
+    env::or_exit(env::apply(&mut config));
+    println!("hunting with {seeds} seeds x 8 mutants against the OpenJ9-like VM ...\n");
     // Run supervised: checkpoint + quarantine under results/bughunt
     // (gitignored — unlike the curated reports in results/). Kill the
     // hunt at any point and re-run to resume from the checkpoint.

@@ -1,5 +1,5 @@
-//! Coverage smoke driver: runs one campaign under the active
-//! `CSE_COVERAGE` policy and reports the merged JIT-behavior coverage.
+//! Coverage smoke driver: runs one campaign under the `CSE_COVERAGE`
+//! policy and reports the merged JIT-behavior coverage.
 //!
 //! ```text
 //! coverage [kind]                    # default: hotspot
@@ -9,6 +9,8 @@
 //! * `CSE_COVERAGE` — `off|collect|guide` (the knob under test)
 //! * `CSE_SEEDS`    — campaign seed budget (default 12)
 //! * `CSE_JOBS`     — worker threads (default 1)
+//! * `CSE_VERIFY_IR`, `CSE_TV`, `CSE_EXEC_CACHE` — as for every campaign
+//!   binary (see `cse_core::env`)
 //!
 //! Output is line-oriented for scripting (`ci.sh` asserts on it):
 //! `cells N` is the merged global map's covered-cell count, `corpus N`
@@ -17,11 +19,8 @@
 use std::process::ExitCode;
 
 use artemis_cse::core::campaign::{run_campaign, CampaignConfig};
+use artemis_cse::core::env;
 use artemis_cse::vm::VmKind;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
 
 fn main() -> ExitCode {
     let kind = match std::env::args().nth(1).as_deref() {
@@ -33,9 +32,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let seeds = env_u64("CSE_SEEDS", 12);
-    let jobs = env_u64("CSE_JOBS", 1) as usize;
-    let config = CampaignConfig::for_kind(kind, seeds).with_jobs(jobs);
+    let seeds = env::or_exit(env::SEEDS.read()).unwrap_or(12);
+    let jobs = env::or_exit(env::JOBS.read()).unwrap_or(1);
+    let mut config = CampaignConfig::for_kind(kind, seeds).with_jobs(jobs);
+    env::or_exit(env::apply(&mut config));
     let result = run_campaign(&config);
 
     println!("kind {kind:?}");

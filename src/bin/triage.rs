@@ -19,19 +19,23 @@
 //! * `CSE_TRIAGE_CHAOS`  — `seed,after_ops`: re-arm the campaign's chaos
 //!   fault injection so chaos incidents reproduce under replay
 //!
-//! The VM profile (kind, JIT flag, fuel, active bug set) is recovered
-//! from the repro file headers, so triage replays incidents under the
-//! same substrate that produced them.
+//! The VM profile (kind, JIT flag, fuel, IR-verifier and TV modes, active
+//! bug set) is recovered from the repro file headers, so triage replays
+//! incidents under the same substrate and oracles that produced them.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use artemis_cse::core::{
-    triage_incidents, ChaosConfig, HarnessIncident, IncidentPhase, TriageConfig,
-};
-use artemis_cse::vm::{BugId, FaultInjector, VmConfig, VmKind};
+use artemis_cse::core::env;
+use artemis_cse::core::supervisor::parse_repro;
+use artemis_cse::core::{triage_incidents, TriageConfig};
+use artemis_cse::vm::VmConfig;
 
 fn main() -> ExitCode {
+    let max_reduce_steps = env::or_exit(env::TRIAGE_STEPS.read()).unwrap_or(1000);
+    let reruns = env::or_exit(env::TRIAGE_RERUNS.read()).unwrap_or(3);
+    let jobs = env::or_exit(env::JOBS.read()).unwrap_or(1).max(1);
+    let chaos = env::or_exit(env::TRIAGE_CHAOS.read());
     let dir = std::env::args().nth(1).unwrap_or_else(|| "results/quarantine".to_string());
     let dir = PathBuf::from(dir);
     let mut paths: Vec<PathBuf> = match std::fs::read_dir(&dir) {
@@ -77,109 +81,15 @@ fn main() -> ExitCode {
 
     let mut tcfg = TriageConfig {
         vm: vm.expect("vm recovered alongside first incident"),
-        max_reduce_steps: env_usize("CSE_TRIAGE_STEPS").unwrap_or(1000),
-        reruns: env_usize("CSE_TRIAGE_RERUNS").unwrap_or(3),
+        max_reduce_steps,
+        reruns,
         retries: 1,
-        jobs: env_usize("CSE_JOBS").unwrap_or(1).max(1),
+        jobs,
     };
     tcfg.vm.wall_clock_limit = None;
-    let chaos = std::env::var("CSE_TRIAGE_CHAOS").ok().and_then(|v| {
-        let (seed, ops) = v.split_once(',')?;
-        Some(ChaosConfig { panic_on_seed: seed.parse().ok()?, after_ops: ops.parse().ok()? })
-    });
 
     let report = triage_incidents(&incidents, &tcfg, chaos, Some(&dir));
     print!("{}", report.render());
     println!("digest {:016x}", report.digest());
     ExitCode::SUCCESS
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
-}
-
-/// Reconstructs an incident (and the VM profile that produced it) from a
-/// quarantine repro file's comment headers.
-fn parse_repro(text: &str) -> Option<(HarnessIncident, VmConfig)> {
-    let mut phase = None;
-    let mut seed = None;
-    let mut rng_seed = None;
-    let mut iteration = None;
-    let mut payload = Vec::new();
-    let mut kind = None;
-    let mut jit_enabled = true;
-    let mut fuel = None;
-    let mut bugs: Option<Vec<BugId>> = None;
-    let mut no_source = false;
-    let mut source_at = None;
-    for (offset, line) in line_offsets(text) {
-        let Some(rest) = line.strip_prefix("// ") else {
-            // First non-header line: the program source starts here.
-            source_at = Some(offset);
-            break;
-        };
-        if let Some(v) = rest.strip_prefix("phase: ") {
-            phase = IncidentPhase::from_name(v.trim());
-        } else if let Some(v) = rest.strip_prefix("campaign seed: ") {
-            seed = v.trim().parse::<u64>().ok();
-        } else if let Some(v) = rest.strip_prefix("rng seed: ") {
-            rng_seed = v.trim().parse::<u64>().ok();
-        } else if let Some(v) = rest.strip_prefix("mutation iteration: ") {
-            iteration = v.trim().parse::<usize>().ok();
-        } else if let Some(v) = rest.strip_prefix("panic: ") {
-            payload.push(v.to_string());
-        } else if let Some(v) = rest.strip_prefix("vm profile: ") {
-            let head = v.split_whitespace().next().unwrap_or("");
-            kind = match head {
-                "HotSpotLike" => Some(VmKind::HotSpotLike),
-                "OpenJ9Like" => Some(VmKind::OpenJ9Like),
-                "ArtLike" => Some(VmKind::ArtLike),
-                _ => None,
-            };
-            jit_enabled = v.contains("jit: true");
-            fuel =
-                v.split("fuel: ").nth(1).and_then(|t| t.trim_end_matches(')').parse::<u64>().ok());
-        } else if let Some(v) = rest.strip_prefix("active bugs: ") {
-            let v = v.trim();
-            bugs = Some(if v == "none" {
-                Vec::new()
-            } else {
-                v.split(',')
-                    .filter_map(|name| {
-                        BugId::all().iter().copied().find(|b| format!("{b:?}") == name.trim())
-                    })
-                    .collect()
-            });
-        } else if rest.trim() == "(no source captured)" {
-            no_source = true;
-        }
-    }
-    let incident = HarnessIncident {
-        phase: phase?,
-        seed: seed?,
-        rng_seed: rng_seed?,
-        iteration,
-        payload: payload.join("\n"),
-        source: if no_source { None } else { source_at.map(|at| text[at..].to_string()) },
-    };
-    let mut vm = VmConfig::correct(kind?);
-    vm.jit_enabled = jit_enabled;
-    if let Some(fuel) = fuel {
-        vm.fuel = fuel;
-    }
-    if let Some(bugs) = bugs {
-        vm.faults = FaultInjector::with(bugs);
-    }
-    Some((incident, vm))
-}
-
-/// `(byte offset, line)` pairs — lets the parser hand back the raw
-/// source tail without re-joining lines.
-fn line_offsets(text: &str) -> impl Iterator<Item = (usize, &str)> {
-    let mut pos = 0;
-    text.lines().map(move |line| {
-        let at = pos;
-        pos = at + line.len() + 1;
-        (at, line)
-    })
 }

@@ -8,10 +8,6 @@
 //! make the JIT faster must therefore leave all three digests alone; this
 //! test is what catches a "pure speed-up" that silently changed JIT output.
 //!
-//! Every knob a `VmConfig` or `CampaignConfig` constructor would read from
-//! the environment is pinned here, so the digests hold under any
-//! `CSE_*` setting the CI legs use.
-//!
 //! **Re-pinning.** When a change is *meant* to alter what campaigns do
 //! (a new pass, a changed heuristic, a different mutator draw), the
 //! digests move. Then: explain the cause in the change description,
@@ -21,7 +17,7 @@
 //! the printed `actual` values into the constants below.
 
 use cse_core::campaign::{run_campaign, CampaignConfig};
-use cse_core::{CoveragePolicy, ExecCachePolicy};
+use cse_core::CoveragePolicy;
 use cse_vm::{TvMode, VerifyMode, VmConfig, VmKind};
 
 const KIND: VmKind = VmKind::HotSpotLike;
@@ -34,21 +30,8 @@ const GUIDED_DIGEST: u64 = 0xa5b2_d743_72d5_1a0e;
 /// `Boundary`, 6 seeds.
 const CORRECT_ORACLES_DIGEST: u64 = 0x3c6b_a3e0_c799_8bd3;
 
-/// Pins every environment-defaulted VM knob.
-fn pinned(mut vm: VmConfig, verify_ir: VerifyMode, tv: TvMode) -> VmConfig {
-    vm.fuel = 40_000_000;
-    vm.max_heap_bytes = 256 * 1024 * 1024;
-    vm.stack_limit = 512;
-    vm.verify_ir = verify_ir;
-    vm.tv = tv;
-    vm
-}
-
 fn campaign(vm: VmConfig, seeds: u64, coverage: CoveragePolicy) -> CampaignConfig {
-    let mut config = CampaignConfig::for_kind(KIND, seeds)
-        .with_jobs(1)
-        .with_exec_cache(ExecCachePolicy::On)
-        .with_coverage(coverage);
+    let mut config = CampaignConfig::for_kind(KIND, seeds).with_coverage(coverage);
     config.vm = vm;
     config
 }
@@ -68,18 +51,18 @@ fn check(name: &str, config: &CampaignConfig, expected: u64) {
 
 #[test]
 fn uniform_campaign_digest_is_pinned() {
-    let vm = pinned(VmConfig::for_kind(KIND), VerifyMode::Off, TvMode::Off);
+    let vm = VmConfig::for_kind(KIND);
     check("uniform", &campaign(vm, 8, CoveragePolicy::Off), UNIFORM_DIGEST);
 }
 
 #[test]
 fn guided_campaign_digest_is_pinned() {
-    let vm = pinned(VmConfig::for_kind(KIND), VerifyMode::Off, TvMode::Off);
+    let vm = VmConfig::for_kind(KIND);
     check("guided", &campaign(vm, 8, CoveragePolicy::Guide), GUIDED_DIGEST);
 }
 
 #[test]
 fn correct_vm_with_oracles_digest_is_pinned() {
-    let vm = pinned(VmConfig::correct(KIND), VerifyMode::Boundary, TvMode::Boundary);
+    let vm = VmConfig::correct(KIND).with_verify_ir(VerifyMode::Boundary).with_tv(TvMode::Boundary);
     check("correct_oracles", &campaign(vm, 6, CoveragePolicy::Off), CORRECT_ORACLES_DIGEST);
 }

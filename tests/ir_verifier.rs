@@ -315,30 +315,33 @@ fn corrupted_bytecode_is_rejected_before_execution() {
     assert!(err.is_err(), "out-of-range jump must fail bytecode verification");
 }
 
-/// `boundary` mode is campaign-safe: digests stay bit-identical across
-/// `jobs ∈ {1, 4}` with the verifier on.
+/// The verifier is observation-only and campaign-safe: on every VM kind,
+/// the campaign digest is one value across `VerifyMode::{Off, Boundary,
+/// Each}` and `jobs ∈ {1, 4}`, and the verifier reports no defect.
 #[test]
 fn boundary_mode_digest_is_identical_across_jobs() {
-    let mut config = CampaignConfig::for_kind(VmKind::HotSpotLike, 4);
-    config.vm.verify_ir = VerifyMode::Boundary;
-    let serial = run_campaign(&config);
-    let serial_digest = serial.digest(&config);
-    let parallel_config = config.clone().with_jobs(4);
-    let parallel = run_campaign(&parallel_config);
-    assert_eq!(
-        serial_digest,
-        parallel.digest(&parallel_config),
-        "boundary-mode digest must not depend on jobs"
-    );
-    assert_eq!(
-        serial.totals.ir_verify_defects, parallel.totals.ir_verify_defects,
-        "defect totals must merge deterministically"
-    );
+    for kind in [VmKind::HotSpotLike, VmKind::OpenJ9Like, VmKind::ArtLike] {
+        let mut reference = None;
+        for mode in [VerifyMode::Off, VerifyMode::Boundary, VerifyMode::Each] {
+            for jobs in [1, 4] {
+                let mut config = CampaignConfig::for_kind(kind, 4).with_jobs(jobs);
+                config.vm.verify_ir = mode;
+                let result = run_campaign(&config);
+                assert_eq!(result.totals.ir_verify_defects, 0, "{kind} verify_ir={mode}");
+                let digest = result.digest(&config);
+                assert_eq!(
+                    *reference.get_or_insert(digest),
+                    digest,
+                    "{kind}: digest diverged at verify_ir={mode}, jobs={jobs}"
+                );
+            }
+        }
+    }
 }
 
-/// Satellite: with *both* boundary oracles enabled (`CSE_VERIFY_IR` and
-/// `CSE_TV`), campaign digests stay bit-identical across `jobs ∈ {1,4}`
-/// and the TV defect totals merge deterministically.
+/// With *both* boundary oracles enabled, campaign digests stay
+/// bit-identical across `jobs ∈ {1,4}` and the TV defect totals merge
+/// deterministically.
 #[test]
 fn tv_boundary_digest_is_identical_across_jobs() {
     let mut config = CampaignConfig::for_kind(VmKind::OpenJ9Like, 4);

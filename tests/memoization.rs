@@ -2,10 +2,9 @@
 //! cache (`cse_core::memo`) is an execution *strategy*, never an input —
 //! a campaign must produce a bit-identical `CampaignResult::digest` with
 //! the memo on, off, or in cross-check mode, at every `jobs` setting,
-//! with and without injected VM faults. The check mode (also reachable
-//! via `CSE_EXEC_CACHE=check`) re-executes every served run and asserts
-//! observable equality, so running this suite under
-//! `CSE_EXEC_CACHE=check` turns it into the ci.sh cross-check leg.
+//! with and without injected VM faults. The check mode
+//! (`ExecCachePolicy::Check`) re-executes every served run and asserts
+//! observable equality.
 
 use cse_core::campaign::{run_campaign, CampaignConfig, CampaignResult};
 use cse_core::{ExecCachePolicy, ValidateConfig};

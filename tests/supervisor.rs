@@ -33,8 +33,8 @@ fn panicking_seed_is_contained_and_loses_no_other_results() {
     assert!(!chaotic.totals.partial);
 
     // The panic is a structured incident naming the offending seed. Other
-    // incident phases (e.g. `TvDefect` when the suite runs under
-    // `CSE_TV=each` against this bug-seeded VM) are orthogonal oracles.
+    // incident phases (e.g. `TvDefect` under `TvMode::Each` against this
+    // bug-seeded VM) are orthogonal oracles.
     let panics: Vec<_> =
         chaotic.incidents.iter().filter(|i| i.phase == IncidentPhase::SeedRun).collect();
     assert!(!panics.is_empty(), "the contained panic must be reported");

@@ -5,11 +5,11 @@
 use std::path::{Path, PathBuf};
 
 use cse_core::campaign::{run_campaign, CampaignConfig};
-use cse_core::supervisor::{ChaosConfig, HarnessIncident, IncidentPhase};
+use cse_core::supervisor::{parse_repro, ChaosConfig, HarnessIncident, IncidentPhase};
 use cse_core::{shrink_plan, signature_of, triage_incidents, TriageConfig, Verdict};
 use cse_reduce::{reduce_with, ReduceConfig};
 use cse_vm::supervise::supervised_run;
-use cse_vm::{ExecMode, ForcedPlan, VmConfig, VmKind};
+use cse_vm::{ExecMode, ForcedPlan, TvMode, VmConfig, VmKind};
 
 /// A unique scratch directory per test (tests share one process).
 fn scratch(test: &str) -> PathBuf {
@@ -223,4 +223,45 @@ fn reproducing_incident_is_promoted_with_signature_preserved() {
     let a = cse_core::supervisor::quarantine_incident(&qdir, &incident, &vm).expect("write");
     let b = cse_core::supervisor::quarantine_incident(&qdir, &other, &vm).expect("write");
     assert_ne!(a, b, "signature hash must keep same-seed incidents from overwriting");
+}
+
+/// A translation-validation incident read back from its quarantine file
+/// replays with TV armed, so triage promotes it. Seed 7 of the bug-free
+/// HotSpotLike VM under `TvMode::Boundary` yields one `TvDefect` incident
+/// (a validator false alarm, which is exactly what must replay). With
+/// the oracle off the replay cannot reproduce it and triage suppresses
+/// it, so the repro header must carry the oracle modes.
+#[test]
+fn quarantined_tv_incident_replays_with_its_oracle_armed() {
+    let dir = scratch("tv-repro");
+    let mut config = CampaignConfig::for_kind(VmKind::HotSpotLike, 1);
+    config.first_seed = 7;
+    config.vm = VmConfig::correct(VmKind::HotSpotLike).with_tv(TvMode::Boundary);
+    config.supervisor.quarantine_dir = Some(dir.clone());
+    let result = run_campaign(&config);
+    assert_eq!(result.incidents.len(), 1, "calibration: seed 7 yields one TV incident");
+    assert_eq!(result.incidents[0].phase, IncidentPhase::TvDefect);
+
+    let path = std::fs::read_dir(&dir)
+        .expect("quarantine dir")
+        .map(|e| e.expect("entry").path())
+        .find(|p| {
+            p.file_name().and_then(|n| n.to_str()).is_some_and(|n| n.starts_with("incident_"))
+        })
+        .expect("incident repro file");
+    let text = std::fs::read_to_string(path).expect("read repro");
+    let (incident, vm) = parse_repro(&text).expect("parse repro");
+    assert_eq!(signature_of(&incident), signature_of(&result.incidents[0]));
+    assert_eq!(incident.source, result.incidents[0].source);
+    assert_eq!(vm.tv, TvMode::Boundary);
+
+    let triage = |vm: VmConfig| {
+        let tcfg = TriageConfig { vm, max_reduce_steps: 50, reruns: 1, retries: 1, jobs: 1 };
+        triage_incidents(std::slice::from_ref(&incident), &tcfg, None, None)
+    };
+    let armed = triage(vm.clone());
+    assert_eq!((armed.reports.len(), armed.suppressed.len()), (1, 0), "{}", armed.render());
+    let unarmed = triage(vm.with_tv(TvMode::Off));
+    assert_eq!((unarmed.reports.len(), unarmed.suppressed.len()), (0, 1), "{}", unarmed.render());
+    std::fs::remove_dir_all(&dir).ok();
 }

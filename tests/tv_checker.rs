@@ -8,14 +8,14 @@
 //!   declared refinement contract, with the counterexample attributed to
 //!   exactly that pass.
 //! * **Soundness on the clean path** — the uncorrupted output of every
-//!   pass on a reference function, the fuzzed corpus under `CSE_TV=each`,
+//!   pass on a reference function, the fuzzed corpus under `TvMode::Each`,
 //!   and the full `2^n` forced plan space must all validate cleanly. A
 //!   false positive would flood campaigns with phantom incidents.
 //! * **Real-bug sensitivity** — an actual injected compiler bug
 //!   (`HsGvnArrayAlias`, a wrong "cannot alias" test) is caught by the
 //!   simulation relation, not just hand-made corruptions.
-//! * **Observation-only determinism** — campaign digests with `CSE_TV`
-//!   in `boundary` mode are bit-identical to `off`, across `jobs ∈ {1,4}`.
+//! * **Observation-only determinism** — campaign digests with TV in
+//!   `boundary` mode are bit-identical to `off`, across `jobs ∈ {1,4}`.
 
 use std::cell::Cell;
 
@@ -415,6 +415,6 @@ fn boundary_mode_digests_match_off_across_jobs() {
     }
     let reference = digests[0].2;
     for (jobs, mode, digest) in &digests {
-        assert_eq!(digest, &reference, "campaign digest diverged at jobs={jobs}, CSE_TV={mode}");
+        assert_eq!(digest, &reference, "campaign digest diverged at jobs={jobs}, tv={mode}");
     }
 }
